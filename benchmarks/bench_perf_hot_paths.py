@@ -729,6 +729,7 @@ def _bench_join_graph_build(count: int, seed: int) -> Dict[str, object]:
     """
     from repro.core.config import D3LConfig
     from repro.core.discovery import D3L
+    from repro.core.execution import create_backend
     from repro.core.joins import SAJoinGraph
 
     lake = _join_lake(count, seed)
@@ -739,7 +740,8 @@ def _bench_join_graph_build(count: int, seed: int) -> Dict[str, object]:
 
     batched = SAJoinGraph.build(indexes, config)
     sequential = SAJoinGraph.build_sequential(indexes, config)
-    sharded = SAJoinGraph.build(indexes, config, workers=PARALLEL_WORKERS)
+    with create_backend("process", indexes, PARALLEL_WORKERS) as backend:
+        sharded = SAJoinGraph.build(indexes, config, backend=backend)
     edges_identical = _join_edge_set(batched) == _join_edge_set(sequential)
     workers_identical = _join_edge_set(batched) == _join_edge_set(sharded)
 

@@ -189,7 +189,13 @@ def _check_attach_freeze(module: ModuleUnderCheck, func: ast.AST) -> Iterator[Vi
 
 #: Modules whose iteration order feeds returned rankings or shard
 #: assignment; bare set iteration here breaks `workers=1 == workers=N`.
-_KERNEL_PATTERNS = ("core/parallel.py", "core/joins.py", "lsh/*.py")
+_KERNEL_PATTERNS = (
+    "core/execution.py",
+    "core/discovery.py",
+    "core/indexes.py",
+    "core/joins.py",
+    "lsh/*.py",
+)
 
 #: Wall-clock entry points banned from deterministic code.
 _WALL_CLOCKS = {

@@ -18,6 +18,7 @@ Querying proceeds exactly as the paper describes:
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
@@ -27,7 +28,12 @@ import numpy as np
 from repro.core.aggregation import combined_distance, evidence_vector
 from repro.core.config import D3LConfig
 from repro.core.evidence import EvidenceType
-from repro.core.execution import IndexReadWriteLock
+from repro.core.execution import (
+    ExecutionBackend,
+    IndexReadWriteLock,
+    create_backend,
+    partition_tables,
+)
 from repro.core.indexes import D3LIndexes
 from repro.core.joins import JoinPath, SAJoinGraph, find_join_paths, tables_reached
 from repro.core.profiles import AttributeMatch, AttributeProfile, TableProfile
@@ -203,13 +209,16 @@ class D3L:
         # version (or a restored graph riding a persisted engine) is detected
         # against D3LIndexes.version exactly like the serving-tier caches.
         self._join_graph_version: Optional[int] = None
-        # Lazily created query-fan-out executors, keyed by worker count.
-        # Each keeps a live worker pool holding a snapshot of the indexes, so
+        # Single-flight guard for join-graph rebuilds: concurrent readers
+        # after a mutation wait for the first reader's rebuild and reuse it.
+        self._join_graph_lock = threading.Lock()
+        # Lazily created fan-out backends, keyed by (backend kind, workers).
+        # Each keeps a live worker pool holding a replica of the indexes, so
         # repeated queries do not re-ship the index state; single-table
         # mutations leave the pools alive (they refresh themselves with a
         # delta on the next fanned-out request) while bulk re-indexing
-        # discards them (see _invalidate_query_executors).
-        self._query_executors: Dict[int, "ParallelQueryExecutor"] = {}
+        # discards them (see _close_backends).
+        self._backends: Dict[Tuple[str, int], ExecutionBackend] = {}
         # Exact value-overlap coefficients verified by previous join-graph
         # builds, keyed by (subject ref, candidate ref).  An overlap is a pure
         # function of the two tables' value samples, so entries stay valid
@@ -228,16 +237,15 @@ class D3L:
     ) -> None:
         """Profile and index every table of ``lake`` (Algorithm 1).
 
-        ``workers > 1`` shards the lake across that many workers
-        (:class:`~repro.core.parallel.ParallelIndexBuilder`, dispatching
-        through the named execution ``backend``); the resulting indexes are
-        identical to a single-process build.
+        ``workers > 1`` shards the lake across that many workers of the
+        named execution ``backend`` (:meth:`D3LIndexes.add_lake`); the
+        resulting indexes are identical to a single-process build.
         """
         with self.index_lock.write():
             self.indexes.add_lake(lake, workers=workers, backend=backend)
             self._join_graph = None
             self._join_overlap_cache.clear()
-            self._invalidate_query_executors()
+            self._close_backends()
 
     def index_table(self, table: Table) -> None:
         """Profile and (re-)index a single table, invalidating per table.
@@ -261,6 +269,17 @@ class D3L:
                 self._note_mutation(table_name)
         return removed
 
+    def __getstate__(self) -> dict:
+        # Like IndexReadWriteLock, the rebuild mutex never travels: a pickled
+        # engine (a legacy container) starts unlocked.
+        state = dict(self.__dict__)
+        del state["_join_graph_lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._join_graph_lock = threading.Lock()
+
     def _note_mutation(self, table_name: str) -> None:
         """Per-table invalidation after a single-table mutation.
 
@@ -274,11 +293,11 @@ class D3L:
             if pair[0].table != table_name and pair[1].table != table_name
         }
 
-    def _invalidate_query_executors(self) -> None:
+    def _close_backends(self) -> None:
         """Discard fan-out worker pools holding a now-stale index snapshot."""
-        for executor in self._query_executors.values():
-            executor.close()
-        self._query_executors = {}
+        for backend in self._backends.values():
+            backend.close()
+        self._backends = {}
 
     def close(self) -> None:
         """Release every fan-out worker pool and shared-memory snapshot.
@@ -289,7 +308,7 @@ class D3L:
         worker processes and ``/dev/shm`` segments are reclaimed promptly
         rather than by the garbage-collection backstop.
         """
-        self._invalidate_query_executors()
+        self._close_backends()
 
     def __enter__(self) -> "D3L":
         return self
@@ -298,30 +317,23 @@ class D3L:
         """Release pools and segments on scope exit (exceptions included)."""
         self.close()
 
-    def _fanout_executor(
+    def _fanout_backend(
         self, workers: int, backend: str = "process"
-    ) -> "ParallelQueryExecutor":
-        """The cached fan-out executor for ``workers``, created on demand.
-
-        One executor (and thus one execution backend holding at most one
-        worker pool over one shared index snapshot) exists per requested
-        worker count — keyed by the bare count for the default ``process``
-        backend and by ``(backend, workers)`` otherwise; any lake mutation
-        discards the cache (see :meth:`_invalidate_query_executors`).
+    ) -> ExecutionBackend:
+        """The cached fan-out backend for ``(backend, workers)``, created on
+        demand; any bulk re-index discards the cache (:meth:`_close_backends`).
         """
-        from repro.core.parallel import ParallelQueryExecutor
-
-        key = workers if backend == "process" else (backend, workers)
-        executor = self._query_executors.get(key)
-        if executor is None or executor.indexes is not self.indexes:
+        key = (backend, workers)
+        scope = self._backends.get(key)
+        if scope is None or scope.indexes is not self.indexes:
             # The indexes object is only rebound on engine restore (when
-            # the cache is empty), but close any displaced executor so a
+            # the cache is empty), but close any displaced backend so a
             # rebind can never strand a live worker pool.
-            if executor is not None:
-                executor.close()
-            executor = ParallelQueryExecutor(self.indexes, workers, backend=backend)
-            self._query_executors[key] = executor
-        return executor
+            if scope is not None:
+                scope.close()
+            scope = create_backend(backend, self.indexes, workers)
+            self._backends[key] = scope
+        return scope
 
     @property
     def join_graph(self) -> SAJoinGraph:
@@ -340,28 +352,28 @@ class D3L:
         """Build (or return the cached) SA-join graph for the current lake.
 
         ``workers > 1`` shards the exact value-overlap verification across
-        the engine's persistent fan-out executor for that worker count and
-        ``backend`` (the same executor the batched query engine uses,
-        created on demand); the resulting edge set is identical to a
-        single-process build, so the cache keys on neither the worker count
-        nor the backend.
+        the engine's persistent fan-out backend for that worker count and
+        ``backend`` kind (the one the batched query engine uses, created on
+        demand); the resulting edge set is identical to a single-process
+        build, so the cache keys on neither the worker count nor the backend.
+
+        Rebuilds are single-flight: readers arriving while another thread
+        rebuilds wait for it and reuse its graph.
         """
-        if self._join_graph is None or self._join_graph_version != self.indexes.version:
-            executor = (
-                self._fanout_executor(workers, backend)
-                if workers is not None and workers > 1
-                else None
-            )
-            self._join_graph = SAJoinGraph.build(
-                self.indexes,
-                self.config,
-                workers=workers,
-                executor=executor,
-                overlap_cache=self._join_overlap_cache,
-                backend=backend,
-            )
-            self._join_graph_version = self.indexes.version
-        return self._join_graph
+        with self._join_graph_lock:
+            if self.cached_join_graph is None:
+                self._join_graph = SAJoinGraph.build(
+                    self.indexes,
+                    self.config,
+                    overlap_cache=self._join_overlap_cache,
+                    backend=(
+                        self._fanout_backend(workers, backend)
+                        if workers is not None and workers > 1
+                        else None
+                    ),
+                )
+                self._join_graph_version = self.indexes.version
+            return self._join_graph
 
     @property
     def cached_join_graph(self) -> Optional[SAJoinGraph]:
@@ -518,8 +530,8 @@ class D3L:
         one vectorized sweep per attribute over the candidates sharing its
         cached sorted extent, and the Equation 2 weights are assigned per
         candidate pool instead of per pair.  ``workers > 1`` additionally
-        fans the target attributes out across worker processes
-        (:class:`~repro.core.parallel.ParallelQueryExecutor`).
+        fans the target attributes out across the workers of an execution
+        backend (:meth:`_collect_matches_batched`).
 
         Rankings, scores, and tie order are identical to :meth:`query` by
         construction: the same exact lookup tables score the signatures, the
@@ -1002,10 +1014,11 @@ class D3L:
         Candidate collection and distance computation run as per-evidence
         sweeps over every target attribute at once
         (:func:`collect_attribute_candidate_distances`); ``workers > 1``
-        shards the target attributes across worker processes with the same
-        partition/merge discipline index construction uses.  The merge runs
-        in the target profile's attribute order — the order the sequential
-        engine iterates — so the resulting matches are identical.
+        shards the target attributes across the workers of the engine's
+        cached execution ``backend`` with the same sorted round-robin
+        partition index construction uses.  The merge runs in the target
+        profile's attribute order — the order the sequential engine iterates
+        — so the resulting matches are identical.
 
         ``signature_maps`` (as produced by :func:`attribute_signature_maps`)
         lets serving tiers that memoized the target's signatures — notably
@@ -1013,33 +1026,52 @@ class D3L:
         target on every repeated request; signatures are deterministic, so
         the answer is unchanged.
         """
-        subject_related_tables = self._subject_related_tables(
-            target_profile, pool, exclude_table
-        )
+        context = {
+            "active_indexed": tuple(active_indexed),
+            "use_distribution": use_distribution,
+            "pool": pool,
+            "exclude_table": exclude_table,
+            "subject_related_tables": self._subject_related_tables(
+                target_profile, pool, exclude_table
+            ),
+        }
+        target_name = target_profile.table_name
         entries = list(target_profile.attributes.items())
         if workers is not None and workers > 1:
-            executor = self._fanout_executor(workers, backend)
-            attribute_distances = executor.collect(
-                target_profile.table_name,
-                entries,
-                active_indexed=tuple(active_indexed),
-                use_distribution=use_distribution,
-                pool=pool,
-                exclude_table=exclude_table,
-                subject_related_tables=subject_related_tables,
-                signature_maps=signature_maps,
-            )
+            # Each shard carries only its own slice of any memoized target
+            # signatures; the merge re-emits the shards' results in the
+            # target's attribute order.
+            payloads = [
+                (
+                    target_name,
+                    [(name, target_profile.attributes[name]) for name in names],
+                    context
+                    | {
+                        "signature_maps": None
+                        if signature_maps is None
+                        else {name: signature_maps[name] for name in names}
+                    },
+                )
+                for names in partition_tables(target_profile.attributes, workers)
+                if names
+            ]
+            by_attribute = {
+                name: (refs, columns)
+                for result in self._fanout_backend(workers, backend).map_shards(
+                    _collect_shard_candidate_distances, payloads
+                )
+                for name, refs, columns in result
+            }
+            attribute_distances = [
+                (name, *by_attribute[name]) for name, _ in entries if name in by_attribute
+            ]
         else:
             attribute_distances = collect_attribute_candidate_distances(
                 self.indexes,
-                target_profile.table_name,
+                target_name,
                 entries,
-                active_indexed=tuple(active_indexed),
-                use_distribution=use_distribution,
-                pool=pool,
-                exclude_table=exclude_table,
-                subject_related_tables=subject_related_tables,
                 signature_maps=signature_maps,
+                **context,
             )
 
         per_table: Dict[str, Dict[str, AttributeMatch]] = {}
@@ -1144,10 +1176,10 @@ def collect_attribute_candidate_distances(
 ) -> List[AttributeCandidates]:
     """Full candidate distance columns of many target attributes, batched.
 
-    The batched engine's per-attribute unit of work, and the function
-    :class:`~repro.core.parallel.ParallelQueryExecutor` ships to its shard
-    workers: signatures are computed in one batched pass, candidates are
-    retrieved with one multi-query lookup per active evidence type, the
+    The batched engine's per-attribute unit of work, and what every query
+    shard runs (:func:`_collect_shard_candidate_distances`): signatures are
+    computed in one batched pass, candidates are retrieved with one
+    multi-query lookup per active evidence type, the
     signature-backed distance columns come from one row-aligned kernel per
     evidence type, and Algorithm 2 runs as one KS sweep per numeric
     attribute.  Distances stay in per-evidence NumPy columns — per-candidate
@@ -1229,6 +1261,21 @@ def collect_attribute_candidate_distances(
         results.append((name, refs, columns))
     return results
 
+
+
+def _collect_shard_candidate_distances(
+    indexes: D3LIndexes, payload
+) -> List[AttributeCandidates]:
+    """Shard fn: batched candidate collection for one shard of a target.
+
+    ``payload`` is ``(table_name, entries, context)`` — the target's name,
+    this shard's ``(attribute name, profile)`` pairs, and the keyword
+    context of :func:`collect_attribute_candidate_distances`.  ``indexes``
+    is the backend's view; over the process backend a delta-refreshed
+    worker-resident replica.
+    """
+    table_name, entries, context = payload
+    return collect_attribute_candidate_distances(indexes, table_name, entries, **context)
 
 def _batched_distribution_distances(
     indexes: D3LIndexes,

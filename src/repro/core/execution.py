@@ -1,12 +1,11 @@
-"""Pluggable execution backends behind every fan-out call site.
+"""Pluggable execution backends: the one fleet layer behind every fan-out.
 
-Three parallel-execution stacks grew up side by side — the worker pools of
-:mod:`repro.core.parallel`, the snapshot ship/attach/delta machinery of
-:mod:`repro.core.shared`, and the serving session pool of
-:mod:`repro.core.server`.  This module extracts the one abstraction they all
-shared implicitly: *run a pure shard function over a list of payloads against
-one logical view of the indexes*.  :class:`ExecutionBackend` is that
-contract, with three implementations:
+Index builds, query sweeps, SA-join verification and process serving all
+run work on worker fleets.  This module owns the one abstraction they share
+— *run a pure shard function over a list of payloads against one logical
+view of the indexes* — plus the one replica state every process fleet keeps
+current.  :class:`ExecutionBackend` is the contract, with three
+implementations:
 
 ``serial``
     :class:`SerialBackend` — a list comprehension in the calling thread.
@@ -21,16 +20,24 @@ contract, with three implementations:
 ``process``
     :class:`ProcessBackend` — worker processes attached read-only to a
     :class:`~repro.core.shared.SharedIndexSnapshot` (descriptor shipping,
-    ~50 bytes per worker), refreshed after lake mutations by net deltas from
-    the index journal (:func:`~repro.core.shared.build_index_delta`) riding
-    on task payloads.  True parallelism; the default for fan-out.
+    ~50 bytes per worker), refreshed after lake mutations by net deltas
+    riding on task payloads.  True parallelism; the default for fan-out.
+
+:class:`SnapshotReplica` is the host side of a process fleet's copy of the
+indexes: the exported snapshot and its descriptor, the base version it was
+exported at, the net delta cached per index version, and the choice between
+shipping that delta and re-exporting.  :class:`ProcessBackend` pools and the
+process serving tier (:class:`~repro.core.server.DiscoveryServer`) both hold
+one; their workers apply shipped deltas through :func:`refresh_replica`.
 
 A shard function is a module-level callable ``fn(indexes, payload)`` — pure
 in both arguments.  Backends differ only in *which object* arrives as
 ``indexes`` (the live object, or a worker-resident attached reconstruction)
-and in scheduling; since the function is pure and all merges downstream are
-keyed, every backend returns the identical result list for identical
-payloads.  ``tests/core/test_execution.py`` sweeps that equivalence.
+and in scheduling; since the function is pure and every caller merges by
+key, every backend returns the identical result list for identical
+payloads.  Sharding itself (:func:`partition_tables`) is a pure function of
+the requested worker count, so ``workers=N`` yields the same shards under
+every backend.  ``tests/core/test_execution.py`` sweeps that equivalence.
 
 Lifecycle: every backend is a context manager, ``close()`` is idempotent,
 and pooled backends carry a ``weakref.finalize`` backstop so abandoning one
@@ -60,15 +67,15 @@ from typing import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.indexes import D3LIndexes
-    from repro.core.shared import Descriptor, SharedIndexSnapshot
+    from repro.core.shared import Descriptor, IndexDelta, SharedIndexSnapshot
     from repro.lake.datalake import AttributeRef
 
 #: The recognised backend kinds, in oracle-first order.
 BACKENDS = ("serial", "thread", "process")
 
-#: Largest mutated-table count a worker pool refreshes via a delta; beyond
-#: this, tearing the pool down and re-exporting a fresh snapshot is cheaper
-#: than shipping per-table profiles and signatures with every task.
+#: Largest mutated-table count a worker fleet refreshes via a delta; beyond
+#: this, respawning the fleet over a fresh snapshot is cheaper than shipping
+#: per-table profiles and signatures with every task or request.
 _DELTA_MAX_TABLES = 32
 
 #: Every live owner of worker *processes* in this process (pooled backends
@@ -149,6 +156,19 @@ class IndexReadWriteLock:
                 self._condition.notify_all()
 
 
+def partition_tables(table_names: Sequence[str], shards: int) -> List[List[str]]:
+    """Deal the sorted names round-robin into ``shards`` groups.
+
+    Sorting first makes the partition a pure function of the name set, so
+    sharding the same lake (or target) — regardless of the order its tables
+    or attributes were added in — always yields the same shards.
+    """
+    if shards <= 0:
+        raise ValueError("shards must be positive")
+    ordered = sorted(table_names)
+    return [ordered[index::shards] for index in range(shards)]
+
+
 def _pool_size(requested: int) -> int:
     """Worker count for a pool: the request clamped to the host CPUs.
 
@@ -178,12 +198,70 @@ def _snapshot_descriptor(
     return snapshot.descriptor, snapshot
 
 
+class SnapshotReplica:
+    """The host side of one worker fleet's replica of the indexes.
+
+    Owns the exported :class:`~repro.core.shared.SharedIndexSnapshot` and the
+    :attr:`descriptor` workers attach, the :attr:`base_version` the snapshot
+    was exported at, and the pending :attr:`delta` bringing a worker at that
+    base up to the live indexes.  Every delta is computed against the fixed
+    base, so one delta is valid for a worker at *any* state between the base
+    and the live version — shipping it with every task or request needs no
+    barrier across the fleet.  The delta is cached per index version.
+
+    The owner (a :class:`ProcessBackend` pool or a process
+    :class:`~repro.core.server.DiscoveryServer`) serialises calls, calls
+    :meth:`sync` before shipping work, and re-exports and respawns its
+    workers when :meth:`sync` reports that no delta can describe the gap.
+    """
+
+    def __init__(self, indexes: "D3LIndexes") -> None:
+        self.indexes = indexes
+        self.snapshot: Optional["SharedIndexSnapshot"] = None
+        self.descriptor: Optional["Descriptor"] = None
+        self.base_version: Optional[int] = None
+        self.delta: Optional["IndexDelta"] = None
+
+    def export(self) -> "Descriptor":
+        """Export the live indexes (releasing any previous snapshot) and
+        return the descriptor a fresh fleet attaches."""
+        self.close()
+        self.descriptor, self.snapshot = _snapshot_descriptor(self.indexes)
+        self.base_version = self.indexes.version
+        return self.descriptor
+
+    def sync(self) -> bool:
+        """Bring :attr:`delta` up to the live index version.
+
+        Returns False when the gap cannot ship as a delta — the base fell
+        out of the mutation journal, or more than :data:`_DELTA_MAX_TABLES`
+        tables moved — and the fleet must re-export instead.
+        """
+        version = self.indexes.version
+        if version == self.base_version:
+            self.delta = None
+        elif self.delta is None or self.delta[0] != version:
+            from repro.core.shared import build_index_delta
+
+            self.delta = build_index_delta(
+                self.indexes, self.base_version, max_tables=_DELTA_MAX_TABLES
+            )
+            return self.delta is not None
+        return True
+
+    def close(self) -> None:
+        """Unlink the snapshot and forget the replica state (idempotent)."""
+        if self.snapshot is not None:
+            self.snapshot.close()
+        self.snapshot = self.descriptor = self.base_version = self.delta = None
+
+
 # --------------------------------------------------------------------------- #
-# process-worker residency
+# worker residency
 # --------------------------------------------------------------------------- #
 
-#: The worker process's resident view of the indexes, attached once by the
-#: pool initializer.  Over the shared-memory path this is a read-only
+#: The pool worker process's resident view of the indexes, attached once by
+#: the pool initializer.  Over the shared-memory path this is a read-only
 #: reconstruction whose arrays are views into the host's one segment; only
 #: under the degraded ``("pickle", ...)`` descriptor is it a private copy.
 _WORKER_INDEXES: Optional["D3LIndexes"] = None
@@ -194,55 +272,58 @@ def _init_process_worker(descriptor: "Descriptor") -> None:
     global _WORKER_INDEXES
     from repro.core.shared import SharedIndexSnapshot
 
-    _WORKER_INDEXES = (
-        SharedIndexSnapshot.attach(descriptor) if descriptor is not None else None
-    )
+    _WORKER_INDEXES = SharedIndexSnapshot.attach(descriptor)
 
 
-def _refresh_worker_indexes(delta) -> None:
-    """Bring this worker's resident index up to the host's version.
+def refresh_replica(
+    indexes: "D3LIndexes",
+    delta: Optional["IndexDelta"],
+    on_table: Optional[Callable[[str], None]] = None,
+) -> None:
+    """Bring a worker-resident replica up to the host's version.
 
-    ``delta`` is a :func:`~repro.core.shared.build_index_delta` result (or
-    None when the pool's snapshot is already current).  The delta rides on
-    every task payload rather than being broadcast — each worker applies it
-    on its next task, and the apply is idempotent and convergent from any
-    intermediate state, so no barrier across the pool is needed.
+    ``delta`` is a :attr:`SnapshotReplica.delta` (None when the fleet is
+    current).  It rides on every task or request rather than being
+    broadcast, so each worker applies it once, on its next unit of work;
+    a worker already at the target version skips it.  ``on_table`` is
+    called with each mutated table's name after the apply — the serving
+    worker replays the engine's per-table cache eviction through it.
     """
-    if delta is not None:
-        from repro.core.shared import apply_index_delta
+    if delta is None or indexes.version >= delta[0]:
+        return
+    from repro.core.shared import apply_index_delta
 
-        apply_index_delta(_WORKER_INDEXES, delta)
+    apply_index_delta(indexes, delta)
+    if on_table is not None:
+        for op in delta[1]:
+            on_table(op[1])
 
 
 def _run_process_shard(task):
     """Trampoline for pooled shards: refresh, then run the pure shard fn."""
     fn, delta, payload = task
-    _refresh_worker_indexes(delta)
+    refresh_replica(_WORKER_INDEXES, delta)
     return fn(_WORKER_INDEXES, payload)
 
 
-def _verify_overlaps_shard(
-    indexes: "D3LIndexes", pairs
-) -> List[Tuple["AttributeRef", "AttributeRef", float]]:
-    """Shard fn: exact value overlaps of candidate pairs over ``indexes``.
+def value_overlaps(
+    indexes: "D3LIndexes", pairs: Sequence[Tuple["AttributeRef", "AttributeRef"]]
+) -> Dict[Tuple["AttributeRef", "AttributeRef"], float]:
+    """Exact value overlaps of candidate pairs over ``indexes``.
 
-    The value samples are resolved from the indexes' profiles — over the
-    process backend that is the worker-resident attached snapshot, so the
-    payload is the bare pair list and no samples are shipped at all.
+    Also the SA-join verification shard function: the value samples are
+    resolved from the indexes' profiles — over the process backend the
+    worker-resident attached snapshot — so payloads are bare pair lists.
     """
     from repro.core.profiles import sample_overlap
 
     profiles = indexes.profiles
-    return [
-        (
-            left,
-            right,
-            sample_overlap(
-                profiles[left].value_sample, profiles[right].value_sample
-            ),
+    return {
+        (left, right): sample_overlap(
+            profiles[left].value_sample, profiles[right].value_sample
         )
         for left, right in pairs
-    ]
+    }
 
 
 def _finalize_pool(pool, snapshot) -> None:
@@ -277,7 +358,7 @@ class ExecutionBackend:
     #: The registry name of this backend (overridden per subclass).
     kind = "serial"
 
-    def __init__(self, indexes: Optional["D3LIndexes"], workers: int) -> None:
+    def __init__(self, indexes: "D3LIndexes", workers: int) -> None:
         if workers <= 0:
             raise ValueError("workers must be positive")
         self.indexes = indexes
@@ -293,38 +374,20 @@ class ExecutionBackend:
     ) -> Dict[Tuple["AttributeRef", "AttributeRef"], float]:
         """Exact value overlaps of candidate pairs over this backend's view.
 
-        Shards the deduplicated pairs round-robin across ``workers``; each
+        Deals the deduplicated pairs round-robin across ``workers``; each
         worker resolves value samples from its view of the indexes, so
         payloads are bare pair lists.  Single-pair (or single-worker) calls
-        short-circuit in-process over the live profiles — the result is
-        routing- and backend-independent either way.
+        run :func:`value_overlaps` in-process over the live profiles — the
+        result is routing- and backend-independent either way.
         """
-        from repro.core.profiles import sample_overlap
-
         ordered = list(dict.fromkeys(pairs))
-        if not ordered:
-            return {}
-        shards = [
-            shard
-            for shard in (
-                ordered[index :: self.workers] for index in range(self.workers)
-            )
-            if shard
-        ]
-        if self.workers <= 1 or len(shards) <= 1 or len(ordered) <= 1:
-            profiles = self.indexes.profiles
-            return {
-                (left, right): sample_overlap(
-                    profiles[left].value_sample, profiles[right].value_sample
-                )
-                for left, right in ordered
-            }
-        shard_results = self.map_shards(_verify_overlaps_shard, shards)
-        return {
-            (left, right): overlap
-            for result in shard_results
-            for left, right, overlap in result
-        }
+        if self.workers <= 1 or len(ordered) <= 1:
+            return value_overlaps(self.indexes, ordered)
+        shards = [ordered[index :: self.workers] for index in range(self.workers)]
+        overlaps: Dict[Tuple["AttributeRef", "AttributeRef"], float] = {}
+        for result in self.map_shards(value_overlaps, [shard for shard in shards if shard]):
+            overlaps.update(result)
+        return overlaps
 
     @property
     def snapshot(self) -> Optional["SharedIndexSnapshot"]:
@@ -361,7 +424,7 @@ class ThreadBackend(ExecutionBackend):
 
     kind = "thread"
 
-    def __init__(self, indexes: Optional["D3LIndexes"], workers: int) -> None:
+    def __init__(self, indexes: "D3LIndexes", workers: int) -> None:
         super().__init__(indexes, workers)
         self._pool: Optional[ThreadPoolExecutor] = None
         self._finalizer: Optional[weakref.finalize] = None
@@ -391,43 +454,28 @@ class ProcessBackend(ExecutionBackend):
     """Shards on worker processes attached to a shared index snapshot.
 
     The worker pool is created lazily on the first multi-shard map and kept
-    alive for the backend's lifetime.  Pool spin-up exports one
-    :class:`~repro.core.shared.SharedIndexSnapshot` of the indexes and ships
-    each worker only the segment descriptor (~50 bytes); workers attach
-    read-only array views over the one host-resident segment, so N workers
-    cost neither N× index memory nor per-pool pickling.  The snapshot is
-    taken at pool creation; when the index version moves past it,
-    :meth:`_ensure_pool` self-heals — preferably by computing a per-table
-    delta (:func:`~repro.core.shared.build_index_delta`) that subsequent task
-    payloads carry to the workers, falling back to recreating pool and
-    snapshot when the mutation set is too large or no longer reconstructible.
+    alive for the backend's lifetime.  Pool spin-up exports the backend's
+    :class:`SnapshotReplica` and ships each worker only the segment
+    descriptor (~50 bytes); workers attach read-only array views over the
+    one host-resident segment, so N workers cost neither N× index memory nor
+    per-pool pickling.  When the index version moves past the snapshot, the
+    replica's pending delta rides on every task payload; when no delta can
+    describe the gap, the pool and snapshot are recreated.
 
-    ``share_index=False`` skips the snapshot/delta machinery and ships the
-    given view (a profiling clone, or None) to each worker verbatim through
-    the degraded pickle descriptor — the mode index builds and transient
-    sample-shipping verification use, where workers need the configuration
-    but not the (possibly still empty) index contents.
+    ``share_index=False`` skips the replica and ships the given view (a
+    profiling clone) to each worker verbatim through the degraded pickle
+    descriptor — the mode sharded index builds use, where workers need the
+    configuration but not the (still empty) index contents.
     """
 
     kind = "process"
 
     def __init__(
-        self,
-        indexes: Optional["D3LIndexes"],
-        workers: int,
-        share_index: bool = True,
+        self, indexes: "D3LIndexes", workers: int, share_index: bool = True
     ) -> None:
         super().__init__(indexes, workers)
-        self._share_index = share_index and indexes is not None
+        self._replica = SnapshotReplica(indexes) if share_index else None
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._snapshot: Optional["SharedIndexSnapshot"] = None
-        self._pool_version: Optional[int] = None
-        # Version the current snapshot was exported at (the fixed delta base:
-        # individual workers may sit at any state between it and the current
-        # version, depending on which deltas they have already applied), and
-        # the pending delta shipped with every pooled task payload.
-        self._snapshot_version: Optional[int] = None
-        self._delta = None
         self._finalizer: Optional[weakref.finalize] = None
         register_worker_owner(self)
 
@@ -435,7 +483,7 @@ class ProcessBackend(ExecutionBackend):
     def snapshot(self) -> Optional["SharedIndexSnapshot"]:
         """The live shared snapshot backing the pool (None before spin-up or
         under the degraded pickle descriptor)."""
-        return self._snapshot
+        return self._replica.snapshot if self._replica is not None else None
 
     def worker_pids(self) -> Set[int]:
         """PIDs of this backend's live worker processes (leak audit)."""
@@ -451,43 +499,21 @@ class ProcessBackend(ExecutionBackend):
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
-        if self._snapshot is not None:
-            self._snapshot.close()
-            self._snapshot = None
-        self._pool_version = None
-        self._snapshot_version = None
-        self._delta = None
+        if self._replica is not None:
+            self._replica.close()
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if (
             self._pool is not None
-            and self._share_index
-            and self._pool_version != self.indexes.version
+            and self._replica is not None
+            and not self._replica.sync()
         ):
-            # The indexes moved past the state the workers hold.  Prefer a
-            # per-table delta refresh over tearing the pool down: the delta
-            # is always computed against the fixed snapshot version, so it is
-            # valid for a worker at any intermediate state.
-            from repro.core.shared import build_index_delta
-
-            delta = build_index_delta(
-                self.indexes, self._snapshot_version, max_tables=_DELTA_MAX_TABLES
-            )
-            if delta is None:
-                # Not reconstructible (journal window exceeded) or too many
-                # tables mutated — re-export the current state.
-                self.close()
-            else:
-                self._delta = delta
-                self._pool_version = self.indexes.version
+            self.close()
         if self._pool is None:
-            if self._share_index:
-                descriptor, self._snapshot = _snapshot_descriptor(self.indexes)
-                self._pool_version = self.indexes.version
-                self._snapshot_version = self.indexes.version
+            if self._replica is not None:
+                descriptor = self._replica.export()
             else:
                 descriptor = ("pickle", self.indexes)
-            self._delta = None
             self._pool = ProcessPoolExecutor(
                 max_workers=_pool_size(self.workers),
                 initializer=_init_process_worker,
@@ -499,25 +525,25 @@ class ProcessBackend(ExecutionBackend):
             # trip the interpreter-exit wakeup of concurrent.futures on an
             # already-collected pipe).
             self._finalizer = weakref.finalize(
-                self, _finalize_pool, self._pool, self._snapshot
+                self, _finalize_pool, self._pool, self.snapshot
             )
         return self._pool
 
     def map_shards(self, fn: Callable, payloads: Sequence) -> List:
         payloads = list(payloads)
         if len(payloads) <= 1:
-            # Single-shard maps run inline against the live view — the same
-            # short-circuit every call site used before the backend layer,
-            # so one-shard work never pays for pool spin-up.
+            # Single-shard maps run inline against the live view, so
+            # one-shard work never pays for pool spin-up.
             return [fn(self.indexes, payload) for payload in payloads]
         pool = self._ensure_pool()
-        tasks = [(fn, self._delta, payload) for payload in payloads]
+        delta = self._replica.delta if self._replica is not None else None
+        tasks = [(fn, delta, payload) for payload in payloads]
         return list(pool.map(_run_process_shard, tasks))
 
 
 def create_backend(
     kind: str,
-    indexes: Optional["D3LIndexes"],
+    indexes: "D3LIndexes",
     workers: int,
     share_index: bool = True,
 ) -> ExecutionBackend:

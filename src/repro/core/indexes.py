@@ -485,9 +485,9 @@ class D3LIndexes:
 
         ``signatures_by_attribute`` (as produced by :meth:`table_signatures`)
         lets callers that computed signatures elsewhere — notably the shard
-        workers of :class:`~repro.core.parallel.ParallelIndexBuilder` — feed
-        them straight into the buffered forest inserts and one batched
-        signature-matrix append per evidence type.
+        workers of a sharded :meth:`add_lake` — feed them straight into the
+        buffered forest inserts and one batched signature-matrix append per
+        evidence type.
         """
         if signatures_by_attribute is None:
             signatures_by_attribute = self.table_signatures(table_profile)
@@ -532,23 +532,43 @@ class D3LIndexes:
     ) -> None:
         """Index every table of ``lake``, in sorted table-name order.
 
-        The sorted order makes index construction independent of lake
-        insertion order, so serial and sharded builds (``workers > 1``, via
-        :class:`~repro.core.parallel.ParallelIndexBuilder`, over any
-        ``backend`` from :data:`~repro.core.execution.BACKENDS`) produce
-        identical index contents.
+        ``workers > 1`` deals the sorted table names round-robin into one
+        shard per worker (:func:`~repro.core.execution.partition_tables`);
+        the workers of a transient ``backend`` scope (any member of
+        :data:`~repro.core.execution.BACKENDS`) profile and sign their
+        shards on an empty clone carrying this index's configuration, and
+        the results merge here in sorted table order.  Signing is
+        deterministic and the merge order is the serial order, so serial and
+        sharded builds produce identical index contents.
         """
-        if workers is not None and workers > 1:
-            from repro.core.parallel import ParallelIndexBuilder
+        if workers is None or workers <= 1:
+            shard_results = [
+                _profile_and_sign_shard(
+                    self, [lake.table(name) for name in sorted(lake.table_names)]
+                )
+            ]
+        else:
+            from repro.core.execution import create_backend, partition_tables
 
-            ParallelIndexBuilder(self, workers=workers, backend=backend).build(lake)
-            return
-        table_profiles = [
-            self.profile_table(lake.table(name)) for name in sorted(lake.table_names)
-        ]
-        signatures = self.batch_signatures(table_profiles)
-        for table_profile in table_profiles:
-            self.add_profiled_table(table_profile, signatures[table_profile.table_name])
+            clone = D3LIndexes(
+                config=self.config,
+                embedding_model=self.embedding_model,
+                subject_classifier=self.subject_classifier,
+            )
+            payloads = [
+                [lake.table(name) for name in names]
+                for names in partition_tables(lake.table_names, workers)
+                if names
+            ]
+            with create_backend(backend, clone, workers, share_index=False) as scope:
+                shard_results = scope.map_shards(_profile_and_sign_shard, payloads)
+        by_table = {
+            table_profile.table_name: (table_profile, signatures)
+            for result in shard_results
+            for table_profile, signatures in result
+        }
+        for name in sorted(by_table):
+            self.add_profiled_table(*by_table[name])
 
     def remove_table(self, table_name: str) -> bool:
         """Remove a table's attributes from every index (incremental maintenance).
@@ -995,6 +1015,19 @@ class D3LIndexes:
     def estimated_bytes(self) -> int:
         """Total approximate footprint of indexes plus profiles."""
         return sum(self.index_bytes().values())
+
+
+def _profile_and_sign_shard(
+    indexes: D3LIndexes, tables: List[Table]
+) -> List[Tuple[TableProfile, Dict[str, Dict[EvidenceType, Optional[Signature]]]]]:
+    """Shard fn: profile and sign every table of one :meth:`D3LIndexes.add_lake`
+    shard, batching signatures across the shard (nothing is inserted)."""
+    table_profiles = [indexes.profile_table(table) for table in tables]
+    signatures = indexes.batch_signatures(table_profiles)
+    return [
+        (table_profile, signatures[table_profile.table_name])
+        for table_profile in table_profiles
+    ]
 
 
 def _raw(signature: Signature) -> np.ndarray:

@@ -13,8 +13,8 @@ through one multi-query value-index lookup (the same kernels the batched
 query engine uses), the paper's estimated overlap coefficient — computed
 vectorized from the MinHash Jaccard estimates the lookup already produced —
 pre-filters the candidate pairs, and only the survivors pay for exact
-value-sample verification, optionally sharded across worker processes
-(:func:`~repro.core.parallel.verify_value_overlaps`).  The scalar
+value-sample verification, optionally sharded across the workers of an
+:class:`~repro.core.execution.ExecutionBackend`.  The scalar
 probe-at-a-time construction lives on as :meth:`SAJoinGraph.build_sequential`,
 the equivalence oracle the batched build is verified against.
 """
@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.core.config import D3LConfig
 from repro.core.evidence import EvidenceType
+from repro.core.execution import ExecutionBackend, value_overlaps
 from repro.core.indexes import D3LIndexes
 from repro.core.profiles import AttributeProfile
 from repro.lake.datalake import AttributeRef
@@ -210,10 +211,8 @@ class SAJoinGraph:
         cls,
         indexes: D3LIndexes,
         config: Optional[D3LConfig] = None,
-        workers: Optional[int] = None,
-        executor=None,
         overlap_cache: Optional[Dict[Tuple[AttributeRef, AttributeRef], float]] = None,
-        backend: str = "process",
+        backend: Optional[ExecutionBackend] = None,
     ) -> "SAJoinGraph":
         """Build the SA-join graph from an indexed lake, in batched sweeps.
 
@@ -224,16 +223,14 @@ class SAJoinGraph:
         from the Jaccard estimates the lookup produced — drops candidate
         pairs that cannot clear ``config.overlap_threshold`` before any
         Python-level set intersection happens.  Surviving pairs are verified
-        with the exact value-sample overlap coefficient, sharded across
-        ``workers`` of a transient execution ``backend`` when requested
-        (:func:`~repro.core.parallel.verify_value_overlaps`) — or, when the
-        owning engine passes a live
-        :class:`~repro.core.parallel.ParallelQueryExecutor` as ``executor``,
-        over that executor's persistent backend (for the process backend: a
-        shared-memory worker pool with no sample shipping at all);
-        verification is a pure per-pair function and edges are applied in
-        sorted probe order, so every routing (``workers=1``, ``workers=N``,
-        executor pool, any backend) produces the identical edge set.
+        with the exact value-sample overlap coefficient — inline over
+        ``indexes.profiles``, or sharded across the workers of ``backend``
+        (an :class:`~repro.core.execution.ExecutionBackend` over the same
+        indexes, e.g. the owning engine's persistent fan-out backend, or a
+        transient :func:`~repro.core.execution.create_backend` scope).
+        Verification is a pure per-pair function and edges are applied in
+        sorted probe order, so every routing produces the identical edge
+        set.
 
         The pre-filter estimates overlap from the *token sets* the value
         index is built from, while verification compares distinct-value
@@ -258,8 +255,6 @@ class SAJoinGraph:
         cache.  Results are identical with or without a (correctly evicted)
         cache.
         """
-        from repro.core.parallel import verify_value_overlaps
-
         config = config or indexes.config
         graph = nx.Graph()
         graph.add_nodes_from(indexes.table_names)
@@ -284,7 +279,6 @@ class SAJoinGraph:
         prefilter_cutoff = config.overlap_threshold * margin
         kept_per_probe: List[List[AttributeRef]] = []
         pairs: List[Tuple[AttributeRef, AttributeRef]] = []
-        samples: Dict[AttributeRef, Set[str]] = {}
         for (table_name, subject), candidates in zip(probes, per_probe):
             refs: List[AttributeRef] = []
             distances: List[float] = []
@@ -308,23 +302,16 @@ class SAJoinGraph:
                     for index in np.flatnonzero(estimates >= prefilter_cutoff)
                 ]
             kept_per_probe.append(refs)
-            if refs:
-                fresh = [
-                    ref
-                    for ref in refs
-                    if overlap_cache is None or (subject.ref, ref) not in overlap_cache
-                ]
-                if fresh and executor is None:
-                    # The executor routing resolves samples worker-side from
-                    # the attached shared index; only the sample-shipping
-                    # paths need the dictionary built at all.
-                    samples[subject.ref] = subject.value_sample
-                    for ref in fresh:
-                        samples[ref] = indexes.profiles[ref].value_sample
-                pairs.extend((subject.ref, ref) for ref in fresh)
+            pairs.extend(
+                (subject.ref, ref)
+                for ref in refs
+                if overlap_cache is None or (subject.ref, ref) not in overlap_cache
+            )
 
-        overlaps = verify_value_overlaps(
-            samples, pairs, workers=workers, executor=executor, backend=backend
+        overlaps = (
+            value_overlaps(indexes, pairs)
+            if backend is None
+            else backend.verify_overlaps(pairs)
         )
         if overlap_cache is not None:
             overlap_cache.update(overlaps)

@@ -39,7 +39,7 @@ def sample_overlap(left: Set[str], right: Set[str]) -> float:
 
     The single definition of the section IV SA-joinability metric: both
     :meth:`AttributeProfile.value_overlap` and the sharded join-graph
-    verification (:func:`~repro.core.parallel.verify_value_overlaps`) funnel
+    verification (:func:`~repro.core.execution.value_overlaps`) funnel
     through it, so the sequential oracle and the worker shards can never
     disagree on the formula.
     """

@@ -6,7 +6,8 @@ but nothing served them.  :class:`DiscoveryServer` is that missing tier — a
 stdlib-only HTTP server (no new dependencies) over one loaded engine:
 
 * ``POST /query`` accepts a ``d3l.query_request/v1`` JSON body (target table
-  inline, plus ``k``/``evidence``/``explain``/``joins``/``workers``/…),
+  inline, plus ``k``/``evidence``/``explain``/``joins``/``workers``/…) of at
+  most :data:`MAX_BODY_BYTES` (larger bodies get a 413 unread),
   submits it through a :class:`~repro.core.api.DiscoverySession`, and returns
   ``QueryResponse.truncated().to_dict()`` — the exact payload the CLI's
   ``--json`` mode emits, bit-identical to an in-process session;
@@ -27,19 +28,22 @@ at construction and on the CLI via ``repro serve --backend``:
 
 ``process``
     The same HTTP front end, but each of the ``workers`` slots is a
-    *worker process* attached read-only to one
-    :class:`~repro.core.shared.SharedIndexSnapshot` of the engine's
-    indexes.  Requests travel over a per-worker duplex pipe; each worker
-    runs its own caching session (sessions and caches live worker-side),
-    so queries execute with true parallelism — the GIL ceiling ROADMAP
-    open item 1 names is lifted.  Lake mutations propagate exactly as
-    pooled fan-out payloads do: the parent computes one net delta from the
-    index journal (:func:`~repro.core.shared.build_index_delta`) against
-    the fixed snapshot version and ships it with each request until the
-    snapshot is re-exported; the apply is idempotent, so workers converge
-    from any intermediate state.  Responses remain byte-identical to an
-    in-process session (the worker runs the very same
+    *worker process* attached read-only to the engine's indexes through a
+    :class:`~repro.core.execution.SnapshotReplica` — the same replica state
+    a process fan-out pool holds.  Requests travel over a per-worker duplex
+    pipe; each worker runs its own caching session (sessions and caches
+    live worker-side), so queries execute with true parallelism.  Lake
+    mutations reach the workers exactly as they reach a fan-out pool: the
+    replica's pending delta rides on each request and workers apply it
+    through :func:`~repro.core.execution.refresh_replica`; when no delta
+    can describe the gap, the fleet is respawned over a fresh snapshot.  A
+    worker that dies is replaced on check-in.  Responses remain
+    byte-identical to an in-process session (the worker runs the very same
     ``session.submit(request).truncated().to_dict()``).
+
+    The per-worker pipes are deliberate: ``/index-status`` must reach every
+    worker to aggregate their session caches, which a shared task queue
+    cannot address.
 
 Lifecycle: :meth:`DiscoveryServer.close` (idempotent, also the
 ``__exit__``) stops accepting, drains handler threads, then closes every
@@ -71,8 +75,8 @@ from repro.core.api import (
 from repro.core.config import require_positive
 from repro.core.discovery import D3L
 from repro.core.execution import (
-    _DELTA_MAX_TABLES,
-    _snapshot_descriptor,
+    SnapshotReplica,
+    refresh_replica,
     register_worker_owner,
 )
 
@@ -81,6 +85,11 @@ SERVER_NAME = "repro-serve/1"
 
 #: The serving concurrency models ``DiscoveryServer(backend=...)`` accepts.
 SERVING_BACKENDS = ("thread", "process")
+
+#: Largest ``POST /query`` body a handler reads (64 MiB, orders of magnitude
+#: above an inline target table); a larger ``Content-Length`` is answered
+#: with 413 before any of the body is read.
+MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
 def index_status(engine: D3L, sessions: List[DiscoverySession]) -> Dict[str, object]:
@@ -124,13 +133,13 @@ def _serving_worker_main(conn, descriptor, weights, cache_size: int) -> None:
     subject classifier — all carried by the snapshot or shipped once), and
     answers ``("query", request, delta)`` messages with the exact
     ``QueryResponse.truncated().to_dict()`` payload an in-process session
-    produces.  A non-None ``delta`` is applied before the query (idempotent;
-    skipped when this worker already converged), with the parent's
-    per-table cache eviction (:meth:`~repro.core.discovery.D3L._note_mutation`)
-    replayed for each delta op so worker-side join-overlap caches never
-    serve stale pairs.
+    produces.  A non-None ``delta`` is applied first through
+    :func:`~repro.core.execution.refresh_replica` (skipped when this worker
+    already converged), replaying the parent's per-table cache eviction
+    (:meth:`~repro.core.discovery.D3L._note_mutation`) for each mutated
+    table so worker-side join-overlap caches never serve stale pairs.
     """
-    from repro.core.shared import SharedIndexSnapshot, apply_index_delta
+    from repro.core.shared import SharedIndexSnapshot
 
     # A foreground Ctrl-C delivers SIGINT to the whole process group; shutdown
     # is the parent's job (a "stop" message or pipe EOF), so ignore it here
@@ -154,10 +163,7 @@ def _serving_worker_main(conn, descriptor, weights, cache_size: int) -> None:
             if command == "stop":
                 break
             try:
-                if delta is not None and attached.version < delta[0]:
-                    apply_index_delta(attached, delta)
-                    for op in delta[1]:
-                        engine._note_mutation(op[1])
+                refresh_replica(attached, delta, engine._note_mutation)
                 if command == "status":
                     conn.send(("ok", session.cache_info()))
                 else:
@@ -300,6 +306,13 @@ class _DiscoveryRequestHandler(BaseHTTPRequestHandler):
         if length <= 0:
             self._respond(400, {"error": "request body required"})
             return
+        if length > MAX_BODY_BYTES:
+            # The unread body would desynchronise a kept-alive stream.
+            self.close_connection = True
+            self._respond(
+                413, {"error": f"request body exceeds {MAX_BODY_BYTES} bytes"}
+            )
+            return
         body = self.rfile.read(length)
         try:
             payload = json.loads(body)
@@ -397,21 +410,16 @@ class DiscoveryServer:
         self._workers: List[_ServingWorker] = []
         # Guards the worker-list membership during crash replacement.
         self._workers_lock = threading.Lock()
-        # Serialises delta computation, snapshot re-export, and the
-        # drain-all-workers paths (respawn, cache aggregation) so no two of
-        # them compete for the same idle workers.
+        # Serialises replica syncs, re-exports, and the drain-all-workers
+        # paths (respawn, cache aggregation) so no two of them compete for
+        # the same idle workers.
         self._state_lock = threading.Lock()
-        self._snapshot = None
-        self._descriptor = None
-        # Version the worker snapshot was exported at — the fixed base every
-        # shipped delta is computed against (workers may sit anywhere between
-        # it and the live version) — plus the cached pending delta.
-        self._base_version: Optional[int] = None
-        self._delta = None
-        self._delta_version: Optional[int] = None
+        # The worker fleet's replica of the engine's indexes (process
+        # backend only): snapshot, base version, and pending delta.
+        self._replica: Optional[SnapshotReplica] = None
         if backend == "process":
-            self._descriptor, self._snapshot = _snapshot_descriptor(engine.indexes)
-            self._base_version = engine.indexes.version
+            self._replica = SnapshotReplica(engine.indexes)
+            self._replica.export()
             self._workers = [self._spawn_worker() for _ in range(workers)]
             for worker in self._workers:
                 self._idle.put(worker)
@@ -446,7 +454,7 @@ class DiscoveryServer:
     def _spawn_worker(self) -> _ServingWorker:
         """One fresh worker over the current snapshot (ownership → caller)."""
         return _ServingWorker(
-            self._descriptor, self.engine.weights, self._profile_cache_size
+            self._replica.descriptor, self.engine.weights, self._profile_cache_size
         )
 
     def worker_pids(self) -> Set[int]:
@@ -459,33 +467,15 @@ class DiscoveryServer:
             }
 
     def _pending_delta(self):
-        """The delta bringing snapshot-based workers up to the live indexes.
+        """The replica's delta for the next request (None when current).
 
-        None when workers are current.  Computed once per index version
-        against the fixed snapshot base (so it is valid for a worker at any
-        intermediate state) and cached until the next mutation.  When the
-        journal cannot reconstruct the mutation set (or too many tables
-        moved), the worker fleet is respawned over a fresh snapshot instead
-        — the same self-heal the fan-out pools perform.
+        When no delta can describe the gap, the fleet is respawned over a
+        fresh snapshot instead — the same self-heal fan-out pools perform.
         """
-        from repro.core.shared import build_index_delta
-
         with self._state_lock, self.engine.index_lock.read():
-            version = self.engine.indexes.version
-            if version == self._base_version:
-                return None
-            if self._delta_version != version:
-                delta = build_index_delta(
-                    self.engine.indexes,
-                    self._base_version,
-                    max_tables=_DELTA_MAX_TABLES,
-                )
-                if delta is None:
-                    self._respawn_workers_locked()
-                    return None
-                self._delta = delta
-                self._delta_version = version
-            return self._delta
+            if not self._replica.sync():
+                self._respawn_workers_locked()
+            return self._replica.delta
 
     def _respawn_workers_locked(self) -> None:
         """Replace every worker with one over a fresh snapshot (holding
@@ -494,12 +484,7 @@ class DiscoveryServer:
         drained = [self._idle.get() for _ in range(self.worker_count)]
         for worker in drained:
             worker.close()
-        if self._snapshot is not None:
-            self._snapshot.close()
-        self._descriptor, self._snapshot = _snapshot_descriptor(self.engine.indexes)
-        self._base_version = self.engine.indexes.version
-        self._delta = None
-        self._delta_version = None
+        self._replica.export()
         with self._workers_lock:
             self._workers = [self._spawn_worker() for _ in range(self.worker_count)]
             fresh = list(self._workers)
@@ -659,9 +644,8 @@ class DiscoveryServer:
             self._workers = []
         for worker in workers:
             worker.close()
-        if self._snapshot is not None:
-            self._snapshot.close()
-            self._snapshot = None
+        if self._replica is not None:
+            self._replica.close()
         if self.backend == "process":
             # Thread-backend sessions reap the engine through session.close();
             # mirror that here so a served engine never strands fan-out pools.

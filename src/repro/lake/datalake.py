@@ -124,7 +124,7 @@ class DataLake:
         Tables are visited in sorted-name order (columns in table order) so
         the enumeration is independent of lake insertion order — the same
         stable ordering contract index construction uses (``add_lake`` and
-        ``parallel.partition_tables`` sort table names themselves).
+        ``execution.partition_tables`` sort table names themselves).
         """
         for name in sorted(self._tables):
             table = self._tables[name]

@@ -24,14 +24,14 @@ def write_tree(tmp_path, files):
 
 
 _VIOLATING = {
-    "core/parallel.py": """
+    "core/execution.py": """
     def shard(tables):
         return [name for name in set(tables)]
     """
 }
 
 _CLEAN = {
-    "core/parallel.py": """
+    "core/execution.py": """
     def shard(tables):
         return [name for name in sorted(set(tables))]
     """

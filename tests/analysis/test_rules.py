@@ -37,7 +37,7 @@ class TestRegistry:
         violations = check_tree(
             tmp_path,
             {
-                "core/parallel.py": """
+                "core/execution.py": """
                 def shard(tables):
                     return [name for name in set(tables)]
                 """
@@ -45,7 +45,7 @@ class TestRegistry:
         )
         assert len(violations) == 1
         rendered = violations[0].render()
-        assert "core/parallel.py" in rendered.partition(":")[0] + rendered
+        assert "core/execution.py" in rendered.partition(":")[0] + rendered
         assert ": R2 " in rendered
 
 
@@ -129,7 +129,7 @@ class TestR2Determinism:
         violations = check_tree(
             tmp_path,
             {
-                "core/parallel.py": """
+                "core/execution.py": """
                 def shard(tables):
                     names = set(tables)
                     return [name for name in names]
@@ -139,11 +139,32 @@ class TestR2Determinism:
         assert codes_of(violations) == ["R2"]
         assert "sorted" in violations[0].message
 
+    @pytest.mark.parametrize(
+        "module", ["core/execution.py", "core/discovery.py", "core/indexes.py"]
+    )
+    def test_set_iteration_in_shard_and_merge_modules_fires(self, tmp_path, module):
+        # Sharding (execution.partition_tables), the build merge
+        # (D3LIndexes.add_lake) and the query merge
+        # (D3L._collect_matches_batched) all live in these modules.
+        violations = check_tree(
+            tmp_path,
+            {
+                module: """
+                def merge(shard_results):
+                    names = set()
+                    for result in shard_results:
+                        names.update(result)
+                    return [name for name in names]
+                """
+            },
+        )
+        assert codes_of(violations) == ["R2"]
+
     def test_sorted_set_iteration_is_clean(self, tmp_path):
         violations = check_tree(
             tmp_path,
             {
-                "core/parallel.py": """
+                "core/execution.py": """
                 def shard(tables):
                     names = set(tables)
                     return [name for name in sorted(names)]
@@ -248,7 +269,7 @@ class TestR2Determinism:
         violations = check_tree(
             tmp_path,
             {
-                "core/parallel.py": """
+                "core/execution.py": """
                 def shard(tables):
                     names = set(tables)
                     return [name for name in names]  # repro-check: disable=R2
@@ -261,7 +282,7 @@ class TestR2Determinism:
         violations = check_tree(
             tmp_path,
             {
-                "core/parallel.py": """
+                "core/execution.py": """
                 # repro-check: disable=R2
                 def shard(tables):
                     names = set(tables)
@@ -275,7 +296,7 @@ class TestR2Determinism:
         violations = check_tree(
             tmp_path,
             {
-                "core/parallel.py": """
+                "core/execution.py": """
                 def shard(tables):
                     names = set(tables)
                     return [name for name in names]  # repro-check: disable=R3
@@ -322,7 +343,7 @@ class TestR3Lifecycle:
         violations = check_tree(
             tmp_path,
             {
-                "core/parallel.py": """
+                "core/execution.py": """
                 from concurrent.futures import ProcessPoolExecutor
 
                 def bad(jobs):
@@ -651,7 +672,7 @@ class TestSelectAndOrdering:
     @pytest.fixture()
     def mixed_tree(self):
         return {
-            "core/parallel.py": """
+            "core/execution.py": """
             def shard(tables):
                 return [name for name in set(tables)]
             """,

@@ -24,7 +24,7 @@ from repro.tables.table import Table
 
 def _untracked_children() -> set:
     """PIDs of live child processes not owned by a tracked executor pool."""
-    from repro.core.parallel import live_worker_pids
+    from repro.core.execution import live_worker_pids
 
     tracked = live_worker_pids()
     return {

@@ -740,8 +740,8 @@ class TestContextManagers:
         with D3L(config=fast_config) as engine:
             engine.index_lake(figure1_tables["lake"])
             engine.query_batch(figure1_tables["target"], k=2, workers=2)
-            assert engine._query_executors
-        assert not engine._query_executors
+            assert engine._backends
+        assert not engine._backends
         assert set(stray_segments()) == before
 
     def test_session_context_manager_closes_engine(
@@ -753,8 +753,8 @@ class TestContextManagers:
             session.submit(
                 QueryRequest(target=figure1_tables["target"], k=2, workers=2)
             )
-            assert engine._query_executors
-        assert not engine._query_executors
+            assert engine._backends
+        assert not engine._backends
         assert session.cache_info()["size"] == 0
 
     def test_exception_path_still_closes(self, figure1_tables, fast_config):
@@ -766,4 +766,4 @@ class TestContextManagers:
                     QueryRequest(target=figure1_tables["target"], k=2, workers=2)
                 )
                 raise RuntimeError("boom")
-        assert not engine._query_executors
+        assert not engine._backends

@@ -1,11 +1,14 @@
 """Tests for SA-joinability and Algorithm 3 join-path discovery."""
 
 import dataclasses
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.core.evidence import EvidenceType
+from repro.core.execution import create_backend
 from repro.core.joins import (
     JoinEdge,
     JoinPath,
@@ -250,8 +253,11 @@ class TestBatchedBuild:
         assert edge_map(batched) == edge_map(sequential)
 
     def test_sharded_verification_matches_single_process(self, indexed_d3l):
-        single = SAJoinGraph.build(indexed_d3l.indexes, indexed_d3l.config, workers=1)
-        sharded = SAJoinGraph.build(indexed_d3l.indexes, indexed_d3l.config, workers=2)
+        single = SAJoinGraph.build(indexed_d3l.indexes, indexed_d3l.config)
+        with create_backend("process", indexed_d3l.indexes, 2) as backend:
+            sharded = SAJoinGraph.build(
+                indexed_d3l.indexes, indexed_d3l.config, backend=backend
+            )
         assert edge_map(single) == edge_map(sharded)
 
     def test_probes_are_subject_attributes_in_sorted_order(self, figure1_engine):
@@ -274,6 +280,50 @@ class TestBatchedBuild:
         edges = figure1_engine.join_graph.edges()
         assert edges == sorted(edges, key=lambda edge: (edge.left, edge.right))
         assert len(edges) == figure1_engine.join_graph.edge_count()
+
+
+class TestSingleFlightRebuild:
+    def test_concurrent_readers_after_a_mutation_build_once(
+        self, small_synthetic_benchmark, fast_config, monkeypatch
+    ):
+        from repro.core.discovery import D3L
+        from repro.lake.datalake import DataLake
+
+        tables = small_synthetic_benchmark.lake.tables
+        engine = D3L(config=fast_config)
+        engine.index_lake(DataLake("single-flight", tables[:8]))
+        engine.join_graph
+        engine.index_table(tables[10].with_name("single_flight_extra"))
+
+        builds = []
+        original = SAJoinGraph.build
+
+        def counting_build(*args, **kwargs):
+            builds.append(threading.current_thread().name)
+            # Hold the rebuild open long enough for the second reader to
+            # arrive while the first is still building.
+            time.sleep(0.2)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(SAJoinGraph, "build", staticmethod(counting_build))
+        barrier = threading.Barrier(2)
+        graphs = [None, None]
+
+        def reader(slot):
+            barrier.wait()
+            graphs[slot] = engine.join_graph
+
+        threads = [threading.Thread(target=reader, args=(slot,)) for slot in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+
+        assert len(builds) == 1
+        assert graphs[0] is graphs[1]
+        assert edge_map(graphs[0]) == edge_map(
+            SAJoinGraph.build_sequential(engine.indexes, engine.config)
+        )
 
 
 class TestPrefilterAdmissibility:

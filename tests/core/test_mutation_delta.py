@@ -402,9 +402,9 @@ class TestRandomizedMutationOracle:
         try:
             warmup = live[sorted(live)[0]]
             engine.query_batch(warmup, k=4, workers=2)
-            assert engine._query_executors
-            executor = engine._query_executors[2]
-            pool_before = executor._pool
+            assert engine._backends
+            backend = engine._backends[("process", 2)]
+            pool_before = backend._pool
 
             victim = sorted(live)[1]
             del live[victim]
@@ -419,7 +419,7 @@ class TestRandomizedMutationOracle:
                     engine.query_batch(target, k=4, workers=1),
                     engine.query_batch(target, k=4, workers=2),
                 )
-            assert executor._pool is pool_before
+            assert backend._pool is pool_before
 
             oracle = _build_engine(live.values())
             try:

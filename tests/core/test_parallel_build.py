@@ -15,7 +15,7 @@ from repro.core.config import D3LConfig
 from repro.core.discovery import D3L
 from repro.core.evidence import EvidenceType
 from repro.core.indexes import D3LIndexes
-from repro.core.parallel import ParallelIndexBuilder, partition_tables
+from repro.core.execution import create_backend, partition_tables
 from repro.datagen.synthetic_benchmark import (
     SyntheticBenchmarkConfig,
     generate_synthetic_benchmark,
@@ -111,13 +111,12 @@ class TestShardedBuildDeterminism:
 class TestParallelBuilderApi:
     def test_invalid_workers_rejected(self, serial_indexes):
         with pytest.raises(ValueError):
-            ParallelIndexBuilder(serial_indexes, workers=0)
+            create_backend("process", serial_indexes, workers=0)
 
-    def test_build_returns_target_indexes(self, corpus, config):
+    def test_build_fills_the_target_indexes(self, corpus, config):
         indexes = D3LIndexes(config=config)
-        built = ParallelIndexBuilder(indexes, workers=2).build(corpus.lake)
-        assert built is indexes
-        assert built.attribute_count == corpus.lake.attribute_count
+        indexes.add_lake(corpus.lake, workers=2)
+        assert indexes.attribute_count == corpus.lake.attribute_count
 
 
 class TestPartitioning:

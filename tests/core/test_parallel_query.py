@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.config import D3LConfig
 from repro.core.discovery import D3L
-from repro.core.parallel import ParallelQueryExecutor
+from repro.core.execution import create_backend
 from repro.core.persistence import load_engine, save_engine
 from repro.datagen.synthetic_benchmark import (
     SyntheticBenchmarkConfig,
@@ -86,7 +86,7 @@ class TestPersistenceRoundTrip:
 class TestExecutorApi:
     def test_invalid_workers_rejected(self, engine):
         with pytest.raises(ValueError):
-            ParallelQueryExecutor(engine.indexes, workers=0)
+            create_backend("process", engine.indexes, workers=0)
 
     def test_pool_reuse_stays_identical(self, corpus):
         # Repeated fanned-out queries reuse one worker pool (the indexes are
@@ -104,7 +104,7 @@ class TestExecutorApi:
                     engine.query(target, k=4),
                     engine.query_batch(target, k=4, workers=2),
                 )
-        assert list(engine._query_executors) == [2]
+        assert list(engine._backends) == [("process", 2)]
 
     def test_lake_mutation_refreshes_worker_pools(self, corpus):
         # The worker pool snapshots the indexes; indexing or removing a table
@@ -118,22 +118,22 @@ class TestExecutorApi:
         engine.index_lake(corpus.lake)
         target = corpus.lake.tables[1]
         engine.query_batch(target, k=4, workers=2)
-        assert engine._query_executors
-        executor = engine._query_executors[2]
-        pool_before = executor._pool
+        assert engine._backends
+        backend = engine._backends[("process", 2)]
+        pool_before = backend._pool
         extra = corpus.lake.tables[2].with_name("zz_brand_new_table")
         engine.index_table(extra)
-        # Single-table mutations no longer tear down the executor cache.
-        assert engine._query_executors
+        # Single-table mutations no longer tear down the backend cache.
+        assert engine._backends
         after = engine.query_batch(extra, k=4, exclude_self=False, workers=2)
         # The delta-refreshed pool must see the new table (its byte-identical
         # source ties with it and wins the name tie-break, so check the top
         # two) without having been recreated.
-        assert executor._pool is pool_before
+        assert backend._pool is pool_before
         assert "zz_brand_new_table" in after.table_names(2)
         assert_identical_answers(engine.query(extra, k=4, exclude_self=False), after)
         engine.remove_table("zz_brand_new_table")
-        assert engine._query_executors
+        assert engine._backends
         assert_identical_answers(
             engine.query(target, k=4),
             engine.query_batch(target, k=4, workers=2),
@@ -142,7 +142,7 @@ class TestExecutorApi:
         assert "zz_brand_new_table" not in after_removal.table_names(4)
         # Bulk re-indexing still invalidates wholesale.
         engine.index_lake(corpus.lake)
-        assert not engine._query_executors
+        assert not engine._backends
 
     def test_cli_workers_route(self, corpus, engine):
         # query_batch(workers=None) and workers=1 run the same in-process path.

@@ -18,7 +18,12 @@ from repro.core.api import (
     QueryResponse,
     query_request_to_wire,
 )
-from repro.core.server import SERVER_NAME, DiscoveryServer, index_status
+from repro.core.server import (
+    MAX_BODY_BYTES,
+    SERVER_NAME,
+    DiscoveryServer,
+    index_status,
+)
 
 
 @pytest.fixture()
@@ -181,6 +186,23 @@ class TestErrorHandling:
         status, payload = _request(server, "POST", "/query")
         assert status == 400
         assert "body" in payload["error"]
+
+    def test_oversized_body_is_413_without_reading_it(self, server):
+        # Only the headers are sent: the handler must answer from the
+        # declared length alone instead of waiting to read the body.
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=30)
+        try:
+            connection.putrequest("POST", "/query")
+            connection.putheader("Content-Type", "application/json")
+            connection.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+            connection.endheaders()
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == 413
+        assert str(MAX_BODY_BYTES) in payload["error"]
+        assert _request(server, "GET", "/healthz")[0] == 200
 
     def test_validation_errors_are_400_with_the_api_message(
         self, server, small_synthetic_benchmark

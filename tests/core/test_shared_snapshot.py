@@ -2,7 +2,7 @@
 
 Covers the zero-copy fan-out contract: a ``SharedIndexSnapshot`` attach must
 reconstruct the index bit-identically as read-only views (no array copies),
-segments must never outlive their owners (explicit close, abandoned-executor
+segments must never outlive their owners (explicit close, abandoned-backend
 finalization, engine/session close, version bumps), and every fanned-out
 answer over the shared path — queries and join-graph verification, including
 after a persistence-v3 round trip — must equal the sequential oracle.
@@ -20,7 +20,7 @@ from repro.core.config import D3LConfig
 from repro.core.discovery import D3L
 from repro.core.evidence import EvidenceType
 from repro.core.joins import SAJoinGraph
-from repro.core.parallel import ParallelQueryExecutor, live_worker_pids
+from repro.core.execution import create_backend, live_worker_pids
 from repro.core.persistence import load_engine, save_engine
 from repro.core.profiles import sample_overlap
 from repro.core.shared import (
@@ -179,8 +179,8 @@ class TestLifecycle:
         refs = sorted(engine.indexes.profiles)[:4]
         pairs = [(refs[0], refs[1]), (refs[2], refs[3]), (refs[0], refs[2])]
         pids_before = live_worker_pids()
-        executor = ParallelQueryExecutor(engine.indexes, workers=2)
-        overlaps = executor.verify_overlaps(pairs)
+        backend = create_backend("process", engine.indexes, 2)
+        overlaps = backend.verify_overlaps(pairs)
         expected = {
             (left, right): sample_overlap(
                 engine.indexes.profiles[left].value_sample,
@@ -189,14 +189,14 @@ class TestLifecycle:
             for left, right in pairs
         }
         assert overlaps == expected
-        snapshot = executor.snapshot
+        snapshot = backend.snapshot
         assert snapshot is not None
         _, name = snapshot.descriptor
-        # Only this executor's workers: other live executors (module-scoped
+        # Only this backend's workers: other live backends (module-scoped
         # engines elsewhere in the suite) keep pools of their own.
         own_pids = live_worker_pids() - pids_before
         assert own_pids
-        del executor
+        del backend
         gc.collect()
         assert not os.path.exists(f"/dev/shm/{name}")
         deadline = time.monotonic() + 5.0
@@ -208,31 +208,31 @@ class TestLifecycle:
         engine = _build_engine(corpus)
         refs = sorted(engine.indexes.profiles)[:4]
         pairs = [(refs[0], refs[1]), (refs[2], refs[3])]
-        executor = ParallelQueryExecutor(engine.indexes, workers=2)
+        backend = create_backend("process", engine.indexes, 2)
         try:
-            executor.verify_overlaps(pairs)
-            first = executor.snapshot
+            backend.verify_overlaps(pairs)
+            first = backend.snapshot
             assert first is not None
             assert first.version == engine.indexes.version
             extra = Table.from_dict(
                 "version_bump_extra", {"code": ["aa", "bb", "cc", "dd"]}
             )
             engine.indexes.add_table(extra)
-            executor.verify_overlaps(pairs)
+            backend.verify_overlaps(pairs)
             # A single-table mutation rides to the workers as a delta: the
             # snapshot (and pool) survive, and the pending delta targets the
             # current version from the snapshot's fixed base.
-            assert executor.snapshot is first
+            assert backend.snapshot is first
             assert not first.closed
-            assert executor._delta is not None
-            assert executor._delta[0] == engine.indexes.version
-            assert [op[:2] for op in executor._delta[1]] == [
+            assert backend._replica.delta is not None
+            assert backend._replica.delta[0] == engine.indexes.version
+            assert [op[:2] for op in backend._replica.delta[1]] == [
                 ("upsert", "version_bump_extra")
             ]
-            assert executor._pool_version == engine.indexes.version
-            assert executor._snapshot_version == first.version
+            assert backend._replica.delta[0] == engine.indexes.version
+            assert backend._replica.base_version == first.version
         finally:
-            executor.close()
+            backend.close()
 
     def test_engine_close_releases_segments_and_workers(self, corpus):
         engine = _build_engine(corpus)
@@ -242,13 +242,13 @@ class TestLifecycle:
         baseline = engine.query_batch(target, k=5, workers=1)
         fanned = engine.query_batch(target, k=5, workers=2)
         assert_identical_answers(baseline, fanned)
-        executor = engine._query_executors[2]
-        assert executor.snapshot is not None
+        backend = engine._backends[("process", 2)]
+        assert backend.snapshot is not None
         own_pids = live_worker_pids() - pids_before
         assert own_pids
         engine.close()
-        assert not engine._query_executors
-        assert executor.snapshot is None
+        assert not engine._backends
+        assert backend.snapshot is None
         assert set(stray_segments()) == before
         assert not (live_worker_pids() & own_pids)
 
@@ -258,9 +258,9 @@ class TestLifecycle:
         engine = _build_engine(corpus)
         session = DiscoverySession(engine)
         engine.query_batch(corpus.lake.tables[0], k=5, workers=2)
-        assert engine._query_executors
+        assert engine._backends
         session.close()
-        assert not engine._query_executors
+        assert not engine._backends
 
 
 class TestSharedPathDeterminism:
@@ -273,7 +273,7 @@ class TestSharedPathDeterminism:
                     engine.query_batch(target, k=5, workers=1),
                     engine.query_batch(target, k=5, workers=4),
                 )
-            assert engine._query_executors[4].snapshot is not None
+            assert engine._backends[("process", 4)].snapshot is not None
         finally:
             engine.close()
 
@@ -307,7 +307,10 @@ class TestSharedPathDeterminism:
                 }
 
             assert edge_map(shared) == edge_map(oracle)
-            sharded = SAJoinGraph.build(engine.indexes, engine.config, workers=2)
+            with create_backend("process", engine.indexes, 2) as backend:
+                sharded = SAJoinGraph.build(
+                    engine.indexes, engine.config, backend=backend
+                )
             assert edge_map(sharded) == edge_map(oracle)
         finally:
             engine.close()

@@ -104,7 +104,7 @@ class TestStaticAnalysisGate:
     def test_seeded_rule_violation_fails_the_smoke(
         self, bench_smoke, tmp_path, monkeypatch
     ):
-        bad = tmp_path / "src" / "core" / "parallel.py"
+        bad = tmp_path / "src" / "core" / "execution.py"
         bad.parent.mkdir(parents=True)
         bad.write_text(
             "def shard(tables):\n    return [name for name in set(tables)]\n"
